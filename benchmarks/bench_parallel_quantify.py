@@ -10,12 +10,12 @@ statistics that make the solver farm worthwhile.  Run as a script::
 Each case runs three phases against one ephemeral cache directory:
 
 1. **cold** — ``jobs=1`` with an empty cache: the honest baseline, and
-   the run that populates the solve/MOCUS/records layers;
+   the run that populates the solve/records layers;
 2. **warm-solve** — the remaining ``--jobs`` values with the records
-   layer scrubbed between runs, so translate/MOCUS/quantify all execute
-   but every unique-model solve is served from the persistent solve
-   layer (and the cutset list from the MOCUS layer).  This is the
-   speedup a re-analysis with *changed run options* sees;
+   layer scrubbed between runs, so translate/cutsets/quantify all
+   execute but every unique-model solve is served from the persistent
+   solve layer.  This is the speedup a re-analysis with *changed run
+   options* sees;
 3. **warm-full** — an identical rerun against the intact cache: the
    records layer restores the entire result, the end-to-end speedup a
    byte-identical re-analysis sees.
@@ -78,7 +78,7 @@ def _cpu_count() -> int:
 def _scrub_records_layer(cache_dir: str) -> None:
     """Drop the records layer so a rerun re-executes the pipeline.
 
-    Leaves the solve and MOCUS layers intact — exactly the state a user
+    Leaves the solve layer intact — exactly the state a user
     sees after changing a run option that is part of the records key
     but not of the per-model solve keys.
     """
@@ -167,7 +167,7 @@ def run_case(name: str, sdft, jobs_list, options_kwargs) -> dict:
             flush=True,
         )
 
-        # Phase 2 — warm solve/MOCUS layers under the remaining jobs
+        # Phase 2 — warm solve layer under the remaining jobs
         # values: the records layer is scrubbed before each run so the
         # pipeline executes, but every unique solve is a cache hit.
         for jobs in jobs_list[1:]:

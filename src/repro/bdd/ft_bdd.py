@@ -9,10 +9,12 @@ tree compiles bottom-up into one BDD per gate; the top gate's BDD gives
   recursion for monotone functions (Rauzy-style minimal solutions,
   materialised as explicit sets with per-node memoisation).
 
-This module is both the production static engine's compiler (wrapped by
+This module is the production static engine's compiler (wrapped by
 :mod:`repro.bdd.quantify`, which adds ordering selection and module-wise
-decomposition) and the exact oracle the differential cross-checks and
-the A1 ablation benchmark compare against.
+decomposition), the analyzer's default cutset generator
+(:func:`bdd_cutsets`: compile → minimal-solutions BDD → cutoff-pruned
+path walk, with MOCUS as the fallback) and the exact oracle the
+differential cross-checks and the A1 ablation benchmark compare against.
 """
 
 from __future__ import annotations
@@ -22,10 +24,19 @@ from typing import Sequence
 
 from repro.bdd.engine import FALSE, TRUE, BddManager
 from repro.bdd.ordering import dfs_order
+from repro.errors import CutoffError
 from repro.ft.cutsets import CutSetList
+from repro.ft.mocus import _CUTOFF_SLACK, MocusOptions, MocusResult, MocusStats
 from repro.ft.tree import FaultTree, GateType
+from repro.robust import faults
 
-__all__ = ["CompiledTree", "compile_tree", "exact_probability", "exact_mcs"]
+__all__ = [
+    "CompiledTree",
+    "bdd_cutsets",
+    "compile_tree",
+    "exact_probability",
+    "exact_mcs",
+]
 
 
 @dataclass
@@ -125,6 +136,90 @@ def exact_probability(tree: FaultTree) -> float:
 def exact_mcs(tree: FaultTree) -> CutSetList:
     """Exact minimal cutsets of ``tree`` (compile + extract in one call)."""
     return compile_tree(tree).minimal_cutsets()
+
+
+def bdd_cutsets(
+    tree: FaultTree,
+    options: MocusOptions | None = None,
+    node_budget: int | None = None,
+) -> MocusResult:
+    """Minimal cutsets above the cutoff, generated from the BDD.
+
+    The drop-in replacement for :func:`repro.ft.mocus.mocus` on an
+    unconstrained search: compile the tree, build the minimal-solutions
+    BDD of the top gate (every path to TRUE is one minimal cutset,
+    spelled by its positive literals), then walk those paths depth
+    first.  Each node carries the largest probability product of any
+    path below it, so a branch is cut as soon as ``running * bound``
+    cannot clear the cutoff — the same ``_CUTOFF_SLACK`` in-search test
+    MOCUS applies to its partials, which keeps boundary-straddling sets
+    alive for the canonical :meth:`CutSetList.truncate` to decide.  The
+    returned list (in order) and the ``full_cutsets`` family are
+    therefore those of a MOCUS search (asserted by
+    ``tests/bdd/test_cutset_generation.py``).
+
+    ``node_budget`` caps the manager's node table; compile or ``minsol``
+    growing past it raises :class:`~repro.errors.BddBudgetExceeded` and
+    the caller falls back to MOCUS.  ``options.max_cutsets`` caps the
+    enumeration (:class:`~repro.errors.CutoffError`); ``max_partials``
+    belongs to MOCUS and is ignored here.
+    """
+    opts = options or MocusOptions()
+    faults.check("mocus")
+    compiled = compile_tree(tree, node_budget=node_budget)
+    manager = compiled.manager
+    root = manager.minsol(compiled.root)
+    use_cutoff = opts.cutoff > 0.0
+    probability = [tree.events[name].probability for name in compiled.order]
+
+    # Per non-terminal node: (variable, low, high) and bound[n], the
+    # largest product of positive-literal probabilities on any path from
+    # n to TRUE (0.0 when TRUE is unreachable).  Children come first.
+    shape: dict[int, tuple[int, int, int]] = {}
+    bound: dict[int, float] = {FALSE: 0.0, TRUE: 1.0}
+    for node in manager._nodes_below(root):
+        var = manager.top_var(node)
+        low, high = manager.cofactors(node, var)
+        shape[node] = (var, low, high)
+        bound[node] = max(bound[low], probability[var] * bound[high])
+
+    stats = MocusStats(bdd_nodes=len(shape))
+    found: list[frozenset[str]] = []
+    # Frames are (node, running product, chosen variables as a linked
+    # list (var, rest)); the walk is iterative, so deep chains never
+    # touch the recursion limit.
+    stack: list[tuple[int, float, tuple | None]] = [(root, 1.0, None)]
+    while stack:
+        node, running, chosen = stack.pop()
+        if node == FALSE:
+            continue
+        if use_cutoff and running * bound[node] * _CUTOFF_SLACK <= opts.cutoff:
+            stats.partials_cut_off += 1
+            continue
+        if node == TRUE:
+            names: list[str] = []
+            while chosen is not None:
+                names.append(compiled.order[chosen[0]])
+                chosen = chosen[1]
+            found.append(frozenset(names))
+            if len(found) > opts.max_cutsets:
+                raise CutoffError(
+                    f"BDD cutset walk exceeded max_cutsets={opts.max_cutsets}; "
+                    f"raise the cutoff or the limit"
+                )
+            continue
+        stats.partials_expanded += 1
+        var, low, high = shape[node]
+        stack.append((low, running, chosen))
+        stack.append((high, running * probability[var], (var, chosen)))
+
+    stats.completed = stats.minimal = len(found)
+    probabilities = {name: e.probability for name, e in tree.events.items()}
+    cutsets = CutSetList.from_cutsets(found, probabilities, minimal=True)
+    full = tuple(tuple(sorted(cutset)) for cutset in found)
+    if use_cutoff:
+        cutsets = cutsets.truncate(opts.cutoff)
+    return MocusResult(cutsets, stats, full_cutsets=full, engine="bdd")
 
 
 def _minimal_solutions(manager: BddManager, root: int) -> list[frozenset[int]]:

@@ -209,7 +209,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=200_000,
         metavar="N",
         help="node-table cap per BDD compilation scope (default 200000); "
-        "exceeding it falls back to cutset quantification cleanly",
+        "exceeding it falls back cleanly to MOCUS for cutset generation "
+        "and to cutset quantification for static models",
     )
     analyze_cmd.add_argument(
         "--simplify",

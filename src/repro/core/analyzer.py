@@ -4,9 +4,13 @@
 
 1. **Translate** — build the static tree ``FT̄`` with worst-case
    probabilities for dynamic events (:mod:`repro.core.to_static`).
-2. **Generate** — run MOCUS with the probabilistic cutoff on ``FT̄``;
-   its minimal cutsets are exactly those of the SD tree, and the cutoff
-   is conservative thanks to the worst-case probabilities.
+2. **Generate** — enumerate the minimal cutsets of ``FT̄`` above the
+   probabilistic cutoff; they are exactly those of the SD tree, and the
+   cutoff is conservative thanks to the worst-case probabilities.  The
+   cutsets are read from the minimal-solutions BDD
+   (:func:`repro.bdd.ft_bdd.bdd_cutsets`); MOCUS is the fallback when
+   the BDD trips its node budget, under a cooperative budget, and when
+   resuming a MOCUS checkpoint.
 3. **Quantify** — classify every triggering gate once, then build and
    solve the small ``FT_C`` chain of each dynamic cutset, caching
    repeated model shapes; sum the ``p̃(C)`` above the cutoff
@@ -75,10 +79,12 @@ class AnalysisOptions:
     """Knobs of the end-to-end analysis.
 
     ``horizon`` is the mission time ``t`` in hours; ``cutoff`` is the
-    probabilistic cutoff ``c*`` applied both during MOCUS and to the
-    final quantified list; ``epsilon`` bounds the transient solver's
-    truncation error; ``max_chain_states`` guards against cutset chains
-    that explode (a modelling smell the user should hear about).
+    probabilistic cutoff ``c*`` applied both during cutset generation
+    and to the final quantified list; ``max_partials`` bounds only the
+    MOCUS fallback's search (the BDD generator has no partials);
+    ``epsilon`` bounds the transient solver's truncation error;
+    ``max_chain_states`` guards against cutset chains that explode (a
+    modelling smell the user should hear about).
     ``on_oversize`` chooses between failing on an oversized chain
     (``"raise"``) and the interval approximation of the paper's
     Section VIII (``"bounds"`` — the affected cutsets contribute their
@@ -102,7 +108,11 @@ class AnalysisOptions:
     * ``bdd_node_budget`` — node-table cap per BDD compilation scope; a
       compilation that would exceed it is abandoned cleanly
       (:class:`~repro.errors.BddBudgetExceeded`) and the run falls back
-      to cutset quantification with a health note.
+      to cutset quantification with a health note.  The same cap gates
+      cutset generation: cutsets are read from the minimal-solutions
+      BDD of ``FT̄``, and a compilation past the budget falls back to
+      MOCUS (health note, ``bdd.budget_trips`` metric; :func:`analyze_curve`
+      returns no health log, so a curve falls back without a note).
 
     ``mocus_probability_overrides`` replaces the probabilities of the
     named events in the static translation before MOCUS runs — the
@@ -177,10 +187,10 @@ class AnalysisOptions:
       defaults it to ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``
       (``--no-cache`` opts out).  Three layers, all keyed by content
       fingerprints plus the value-affecting options: per-unique-model
-      chain solves, the MOCUS cutset list, and the full record set of
-      a clean run — so re-analysing an unchanged model is near-free
-      and an unchanged submodel still reuses its solves.  Corrupted or
-      version-mismatched entries degrade to cache misses, never
+      chain solves, exact static BDD quantifications, and the full
+      record set of a clean run — so re-analysing an unchanged model
+      is near-free and an unchanged submodel still reuses its solves.
+      Corrupted or version-mismatched entries degrade to cache misses, never
       crashes; cached values flow through the same verification guards
       as fresh ones; nothing is written while fault injection is armed
       or when the run was budgeted, checkpointed, resumed, truncated
@@ -292,23 +302,33 @@ class AnalysisReuse:
     through the same checked-restore path checkpoint resume uses —
     skipping even the ``FT_C`` model build — and re-validated against
     this run's invariants.
+    ``siblings`` — ``cutset -> (signature, record)`` for records the
+    edit *did* touch, under the same unchanged skeleton: the signature
+    their ``FT_C`` model had in the previous run, and the previous
+    record.  Cutsets whose previous models were equal still share one
+    model, so only the first of each group is rebuilt and solved; the
+    rest are served from its solve (see ``_QuantifyContext.sibling``).
 
     Captured outputs (filled by :func:`analyze`)
     --------------------------------------------
-    ``out_translation`` / ``out_mocus`` / ``out_solves`` — the
-    translation, the cutset result and the full solve store of the run
-    that just finished.  They stay ``None`` when the run was served
-    whole from the persistent records cache (nothing new was computed).
+    ``out_translation`` / ``out_mocus`` / ``out_solves`` /
+    ``out_signatures`` — the translation, the cutset result, the full
+    solve store and the ``FT_C`` signature of every cutset quantified by
+    the run that just finished.  They stay ``None`` when the run was
+    served whole from the persistent records cache (nothing new was
+    computed).
     """
 
     translation: "object | None" = None
     cutsets: "MocusResult | None" = None
     solves: "dict[tuple, tuple[float, int]] | None" = None
     records: "dict[frozenset, McsQuantification] | None" = None
+    siblings: "dict[frozenset, tuple[tuple, McsQuantification]] | None" = None
     note: str = ""
     out_translation: "object | None" = None
     out_mocus: "MocusResult | None" = None
     out_solves: "dict[tuple, tuple[float, int]] | None" = None
+    out_signatures: "dict[frozenset, tuple] | None" = None
 
 
 def analyze(
@@ -409,15 +429,18 @@ def analyze(
                     )
                 else:
                     mocus_result, restored_records = _generate_cutsets(
-                        mocus_tree,
-                        opts,
-                        budget,
-                        health,
-                        manager,
-                        resumed,
-                        obs,
-                        solve_cache,
+                        mocus_tree, opts, budget, health, manager, resumed, obs
                     )
+                    mocus_span.set(
+                        engine=mocus_result.engine,
+                        bdd_nodes=mocus_result.stats.bdd_nodes,
+                    )
+                    if obs.enabled:
+                        obs.metrics.count(f"cutsets.engine.{mocus_result.engine}")
+                        if mocus_result.engine == "bdd":
+                            obs.metrics.observe(
+                                "cutsets.bdd_nodes", mocus_result.stats.bdd_nodes
+                            )
                 mocus_span.set(
                     cutsets=len(mocus_result.cutsets),
                     truncated=mocus_result.truncated,
@@ -449,6 +472,7 @@ def analyze(
                     primed_records=(
                         reuse.records if reuse is not None else None
                     ),
+                    siblings=reuse.siblings if reuse is not None else None,
                 )
                 quantify_span.set(
                     records=len(records),
@@ -526,6 +550,7 @@ def analyze(
                 reuse.out_translation = translation
                 reuse.out_mocus = mocus_result
                 reuse.out_solves = dict(cache._store)
+                reuse.out_signatures = dict(cache.by_cutset)
 
     if solve_cache is not None:
         health.info("cache", solve_cache.summary())
@@ -1172,19 +1197,17 @@ def _generate_cutsets(
     manager: "CheckpointManager | None",
     resumed: dict | None,
     obs: Observability = NULL_OBS,
-    solve_cache: "SolveCache | None" = None,
 ) -> "tuple[MocusResult, dict]":
     """Run (or restore) cutset generation, surviving budget exhaustion.
 
-    Returns the MOCUS result plus the quantification records restored
+    Returns the cutset result plus the quantification records restored
     from a quantify-phase checkpoint (empty when not resuming).
 
-    With a persistent cache, an unconstrained run first consults the
-    MOCUS layer: the cache stores the *pre-truncation* minimal cutsets
-    of a completed search keyed by a content digest of the static tree,
-    and the loading process re-sorts and re-truncates locally — so a
-    warm list is element-for-element what this process's own search
-    would have produced.
+    The BDD generator (:func:`repro.bdd.ft_bdd.bdd_cutsets`) runs first.
+    MOCUS runs instead when a cooperative ``budget`` is set or a
+    ``"mocus"``-phase checkpoint is resumed — its frontier, salvage and
+    remainder bound are what those paths need — and as the fallback
+    when the BDD trips ``bdd_node_budget``.
     """
     if resumed is not None and resumed["phase"] == "quantify":
         from repro.robust.checkpoint import record_from_dict
@@ -1206,42 +1229,27 @@ def _generate_cutsets(
             cutsets,
             truncated=state.get("mcs_truncated", False),
             remainder_bound=state.get("mcs_remainder_bound", 0.0),
+            engine="checkpoint",
         )
         return result, restored
-
-    digest = None
-    unconstrained = budget is None and manager is None and resumed is None
-    if solve_cache is not None and unconstrained:
-        from repro.perf.cache import tree_digest
-        from repro.robust import faults
-
-        digest = tree_digest(mocus_tree)
-        if not faults.any_armed():
-            names = solve_cache.get_mocus(
-                digest, opts.cutoff, opts.max_partials
-            )
-            if names is not None:
-                probabilities = {
-                    name: event.probability
-                    for name, event in mocus_tree.events.items()
-                }
-                cutsets = CutSetList.from_cutsets(
-                    [frozenset(cutset) for cutset in names],
-                    probabilities,
-                    minimal=True,
-                )
-                if opts.cutoff > 0.0:
-                    cutsets = cutsets.truncate(opts.cutoff)
-                health.info(
-                    "cache",
-                    f"mocus: {len(cutsets)} cutsets restored "
-                    f"(search skipped)",
-                )
-                return MocusResult(cutsets), {}
 
     mocus_resume = None
     if resumed is not None and resumed["phase"] == "mocus":
         mocus_resume = resumed["state"]["mocus"]
+    search = MocusOptions(cutoff=opts.cutoff, max_partials=opts.max_partials)
+    if budget is None and mocus_resume is None:
+        from repro.bdd.ft_bdd import bdd_cutsets
+
+        try:
+            return bdd_cutsets(mocus_tree, search, opts.bdd_node_budget), {}
+        except BddBudgetExceeded as error:
+            health.info(
+                "bdd",
+                f"BDD cutset generation abandoned ({error}); falling back "
+                f"to MOCUS",
+            )
+            if obs.enabled:
+                obs.metrics.count("bdd.budget_trips")
     on_progress = None
     if manager is not None:
         on_progress = lambda build: manager.maybe_save(  # noqa: E731
@@ -1250,7 +1258,7 @@ def _generate_cutsets(
     try:
         result = mocus(
             mocus_tree,
-            MocusOptions(cutoff=opts.cutoff, max_partials=opts.max_partials),
+            search,
             budget=budget,
             on_progress=on_progress,
             resume=mocus_resume,
@@ -1264,13 +1272,6 @@ def _generate_cutsets(
         # continue the search instead of redoing it.
         if manager is not None:
             manager.save("mocus", {"mocus": error.partial.frontier})
-    if digest is not None and not result.truncated:
-        solve_cache.put_mocus(
-            digest,
-            opts.cutoff,
-            opts.max_partials,
-            [list(cutset) for cutset in result.full_cutsets],
-        )
     return result, {}
 
 
@@ -1288,6 +1289,7 @@ def _quantify_cutsets(
     solve_cache: "SolveCache | None" = None,
     primed: "dict[tuple, tuple[float, int]] | None" = None,
     primed_records: "dict[frozenset, McsQuantification] | None" = None,
+    siblings: "dict[frozenset, tuple[tuple, McsQuantification]] | None" = None,
 ) -> "tuple[list[McsQuantification], bool]":
     """Quantify every cutset with isolation, budgets and checkpoints.
 
@@ -1302,6 +1304,9 @@ def _quantify_cutsets(
     serves whole records the caller proved untouched by an edit through
     the same checked-restore path a checkpoint resume uses (checkpoint
     restores win on conflict — they belong to *this* run's frame).
+    ``siblings`` lets edited cutsets share the solve of an earlier
+    cutset whose previous ``FT_C`` model was the same (plain path only:
+    the degradation ladder keeps its per-cutset accounting).
     """
     from repro.perf.pool import resolve_jobs
 
@@ -1324,6 +1329,7 @@ def _quantify_cutsets(
         health,
         obs=obs,
         verifier=verifier if verifier is not None else Verifier(),
+        siblings=siblings if siblings and not opts.fault_isolation else {},
     )
     records: list[McsQuantification] = []
     cutset_list = list(mocus_result.cutsets)
@@ -1390,14 +1396,21 @@ class _QuantifyContext:
     obs: object = NULL_OBS
     verifier: Verifier = field(default_factory=Verifier)
     out_of_budget: bool = False
+    siblings: dict = field(default_factory=dict)
+    #: Previous ``FT_C`` signature -> this run's, learnt from the first
+    #: edited cutset of each group quantified the full way.
+    renamed: dict = field(default_factory=dict)
 
     def quantify(self, cutset: frozenset) -> McsQuantification:
         """One cutset through the full serial path (gate, solve, recover)."""
         gated = self._budget_gate(cutset)
         if gated is not None:
             return gated
+        sibling = self.sibling(cutset)
+        if sibling is not None:
+            return self.checked(sibling)
         try:
-            return self.checked(
+            record = self.checked(
                 _quantify_one(
                     self.sdft,
                     cutset,
@@ -1409,6 +1422,10 @@ class _QuantifyContext:
                     self.obs,
                 )
             )
+            hint = self.siblings.get(cutset)
+            if hint is not None and cutset in self.cache.by_cutset:
+                self.renamed.setdefault(hint[0], self.cache.by_cutset[cutset])
+            return record
         except BudgetExceededError as error:
             self.health.budget("quantify", str(error), cutset=cutset)
             self.out_of_budget = True
@@ -1424,6 +1441,49 @@ class _QuantifyContext:
                 rung="skipped",
             )
             return self._skipped(cutset)
+
+    def sibling(self, cutset: frozenset) -> McsQuantification | None:
+        """An edited cutset served from an earlier cutset's solve.
+
+        With the gate/trigger skeleton unchanged, the structure of
+        ``FT_C`` is a function of the cutset alone and its contents are
+        looked up by event name, so two cutsets whose models had the
+        same signature before the edit have the same model after it.
+        Once the first of them has been rebuilt and solved, the others
+        get exactly the record the cache hit of a cold run would
+        give them: the shared solve times their own static factor
+        (multiplied in the same sorted order as
+        :func:`~repro.core.cutset_model.build_cutset_model`), with the
+        structural counters and dependencies of their previous record.
+        """
+        hint = self.siblings.get(cutset)
+        if hint is None:
+            return None
+        signature, previous = hint
+        key = self.renamed.get(signature)
+        if key is None:
+            return None
+        found = self.cache.get(key)
+        if found is None:
+            return None
+        probability, chain_states = found
+        static_factor = 1.0
+        for name in sorted(cutset):
+            if self.sdft.is_static(name):
+                static_factor *= self.sdft.static_events[name].probability
+        self.cache.by_cutset[cutset] = key
+        return McsQuantification(
+            cutset,
+            probability * static_factor,
+            True,
+            previous.n_dynamic_in_cutset,
+            previous.n_dynamic_in_model,
+            previous.n_added_dynamic,
+            chain_states,
+            0.0,
+            cache_hit=True,
+            dependencies=previous.dependencies,
+        )
 
     def checked(self, record: McsQuantification) -> McsQuantification:
         """Apply the per-record invariants (``opts.verify``) to a record.
@@ -1611,6 +1671,7 @@ def _quantify_parallel(
             entries.append(("direct", model))
             continue
         key = ctx.cache.signature(model.model, opts.horizon)
+        ctx.cache.by_cutset[cutset] = key
         plan.add(key, model)
         entries.append(("group", key, model))
 
@@ -1935,6 +1996,11 @@ def analyze_curve(
     ``t`` — are largest, so no cutset relevant at any requested horizon
     is missed.  Per-horizon quantification reuses the shared chain-solve
     cache, which makes a 10-point curve cost far less than 10 analyses.
+
+    A curve carries no health log: when the BDD trips
+    ``bdd_node_budget`` during cutset generation, the MOCUS fallback
+    runs without the note :func:`analyze` would record (the cutsets are
+    the same either way).
     """
     if not horizons:
         return {}
@@ -1947,9 +2013,9 @@ def analyze_curve(
     mocus_tree = translation.tree
     if opts.mocus_probability_overrides:
         mocus_tree = mocus_tree.with_probabilities(opts.mocus_probability_overrides)
-    cutsets = mocus(
-        mocus_tree, MocusOptions(cutoff=opts.cutoff, max_partials=opts.max_partials)
-    ).cutsets
+    cutsets = _generate_cutsets(
+        mocus_tree, opts, None, HealthLog(), None, None
+    )[0].cutsets
 
     classes = classification_report(sdft).by_gate
     cache = QuantificationCache()

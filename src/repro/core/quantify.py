@@ -98,6 +98,10 @@ class QuantificationCache:
 
     def __init__(self) -> None:
         self._store: dict[tuple, tuple[float, int]] = {}
+        #: The signature of each dynamic cutset's ``FT_C`` model, as
+        #: computed in this run (the what-if engine groups edited
+        #: cutsets by it; see ``repro.core.analyzer._QuantifyContext``).
+        self.by_cutset: dict[frozenset[str], tuple] = {}
         self.hits = 0
         self.misses = 0
         #: Optional :class:`repro.perf.cache.SolveCache` backing store.
@@ -218,6 +222,7 @@ def quantify_model(
 
     key = cache.signature(model.model, horizon) if cache is not None else None
     if cache is not None and key is not None:
+        cache.by_cutset[model.cutset] = key
         found = cache.get(key)
         if found is not None:
             probability, chain_states = found

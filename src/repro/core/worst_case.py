@@ -23,6 +23,8 @@ Correctness note: the worst-case choice is conservative by construction
 
 from __future__ import annotations
 
+from typing import Mapping
+
 from repro.ctmc.chain import Ctmc
 from repro.ctmc.transient import failure_probability
 from repro.ctmc.triggered import TriggeredCtmc
@@ -47,15 +49,25 @@ def worst_case_probability(
 
 
 def worst_case_probabilities(
-    sdft: SdFaultTree, horizon: float, epsilon: float = 1e-12
+    sdft: SdFaultTree,
+    horizon: float,
+    epsilon: float = 1e-12,
+    known: Mapping[str, float] | None = None,
 ) -> dict[str, float]:
     """Worst-case probabilities for every dynamic event of the tree.
 
     Identical chain objects shared by several events are solved once.
+    ``known`` supplies values already solved for some events' chains at
+    this horizon and epsilon (a re-analysis after an edit passes the
+    previous run's values for the events the edit left alone); they are
+    taken as they are.
     """
     by_chain: dict[int, float] = {}
     result: dict[str, float] = {}
     for name, event in sdft.dynamic_events.items():
+        if known is not None and name in known:
+            result[name] = known[name]
+            continue
         key = id(event.chain)
         if key not in by_chain:
             by_chain[key] = worst_case_probability(event.chain, horizon, epsilon)

@@ -51,6 +51,18 @@ _MAX_TERMS = 4_000_000
 _MASS_TOLERANCE = 1e-6
 
 
+def _series_cannot_converge(qt: float, epsilon: float) -> bool:
+    """Whether a Poisson(``qt``) series provably outruns :data:`_MAX_TERMS`.
+
+    The median of Poisson(λ) is at least ``λ - ln 2``, so for
+    ``λ > _MAX_TERMS + 1`` the first ``_MAX_TERMS + 1`` weights sum to
+    less than ½ — short of ``1 - epsilon`` for any ``epsilon < ½``.
+    The series loops would sum millions of (underflowed) zero weights
+    only to raise at the term limit; callers raise up front instead.
+    """
+    return qt > _MAX_TERMS + 1 and epsilon < 0.5
+
+
 def _reject_nonfinite_rates(chain: Ctmc, what: str) -> None:
     """Fail fast on inf/NaN rates instead of solving with garbage.
 
@@ -199,6 +211,12 @@ def occupancy_integrals(
         return chain.initial_vector() * horizon
     q *= 1.02
     qt = q * horizon
+    if _series_cannot_converge(qt, epsilon):
+        raise NumericalError(
+            f"occupancy series needs more than {_MAX_TERMS} terms "
+            f"(chain of {n} states, horizon {horizon:g}, "
+            f"q*t = {qt:.3g}); rescale the model"
+        )
     dtmc = (
         rate_matrix / q
         + sparse.eye(n, format="csr")
@@ -322,6 +340,19 @@ def _uniformization(
     # thousands of no-op series terms.
     mobile = exit_rates > 0.0
     watch_absorption = bool(mobile.any()) and not bool(mobile.all())
+    if not watch_absorption and _series_cannot_converge(qt, epsilon):
+        # Without the absorbed-mass exit only the Poisson weights can
+        # end the series, and they provably cannot within the limit.
+        raise NumericalError(
+            f"uniformization needs more than {_MAX_TERMS} terms "
+            f"(chain of {n} states, horizon {horizon:g}, "
+            f"q*t = {qt:.3g}); rescale the model or use method='expm'"
+        )
+
+    # ``pi @ dtmc`` is evaluated by scipy as ``dtmc.T @ pi``, transposing
+    # the matrix on every call; transposing once up front runs the very
+    # same kernel on the very same data, so the iterates are unchanged.
+    step = dtmc.transpose()
 
     log_qt = math.log(qt)
     pi = chain.initial_vector()
@@ -353,7 +384,7 @@ def _uniformization(
             )
         if budget is not None and not (k & 255):
             budget.check_deadline("transient")
-        pi = pi @ dtmc
+        pi = step @ pi
     # One registry call per solve, after the series loop: the traced
     # quantities stay deterministic and the loop itself stays untouched.
     metrics.observe("transient.series_terms", k + 1)
@@ -369,12 +400,21 @@ def _strip_diagonal_deficit(dtmc: sparse.csr_matrix, scaled_exit: np.ndarray):
 
     ``I + Q/q`` already does this analytically; the explicit correction
     guards against the tiny drift of floating-point summation, which
-    would otherwise compound over thousands of powers.
+    would otherwise compound over thousands of powers.  Row sums are
+    taken in column order (``dtmc @ 1``) and each deficit is added to
+    the stored diagonal entry in place — the same floating-point
+    operations as an element-wise edit, without leaving CSR.
     """
-    dtmc = dtmc.tolil()
-    row_sums = np.asarray(dtmc.sum(axis=1)).ravel()
-    for i, total in enumerate(row_sums):
-        deficit = 1.0 - total
-        if deficit != 0.0:
-            dtmc[i, i] = dtmc[i, i] + deficit
-    return dtmc.tocsr()
+    dtmc = dtmc.tocsr(copy=True)
+    dtmc.sum_duplicates()
+    n = dtmc.shape[0]
+    row_sums = dtmc @ np.ones(n)
+    deficit = 1.0 - row_sums
+    rows = np.repeat(np.arange(n), np.diff(dtmc.indptr))
+    diagonal = np.flatnonzero(dtmc.indices == rows)
+    # Every diagonal entry is stored: chains reject self-loops, so the
+    # rate matrix has none and each diagonal entry is the identity's 1.
+    assert len(diagonal) == n
+    fix = deficit != 0.0
+    dtmc.data[diagonal[fix]] = dtmc.data[diagonal[fix]] + deficit[fix]
+    return dtmc

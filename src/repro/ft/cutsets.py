@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
@@ -124,11 +124,17 @@ class CutSetList:
     """An ordered list of (minimal) cutsets with aggregation helpers.
 
     Construction does not re-minimise; use :meth:`from_cutsets` to
-    minimise and sort by descending probability in one step.
+    minimise and sort by descending probability in one step.  Each
+    cutset's probability is computed once per list and cached
+    (:meth:`weights`): sorting, truncation and every aggregation read
+    the same products.
     """
 
     cutsets: tuple[frozenset[str], ...]
     probabilities: Mapping[str, float]
+    _weights: tuple[float, ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def from_cutsets(
@@ -143,8 +149,38 @@ class CutSetList:
         lexicographically for determinism.
         """
         family = list(cutsets) if minimal else minimize(cutsets)
-        family.sort(key=lambda c: (-cutset_probability(c, probabilities), sorted(c)))
-        return cls(tuple(family), probabilities)
+        weighted = [
+            (-cutset_probability(c, probabilities), sorted(c), c) for c in family
+        ]
+        weighted.sort(key=lambda item: (item[0], item[1]))
+        return cls._weighted(
+            tuple(c for _, _, c in weighted),
+            probabilities,
+            tuple(-p for p, _, _ in weighted),
+        )
+
+    @classmethod
+    def _weighted(
+        cls,
+        cutsets: tuple[frozenset[str], ...],
+        probabilities: Mapping[str, float],
+        weights: tuple[float, ...],
+    ) -> "CutSetList":
+        """A list whose per-cutset probabilities are already known."""
+        result = cls(cutsets, probabilities)
+        object.__setattr__(result, "_weights", weights)
+        return result
+
+    def weights(self) -> tuple[float, ...]:
+        """``cutset_probability`` of every cutset, in list order."""
+        if self._weights is None:
+            object.__setattr__(
+                self,
+                "_weights",
+                tuple(cutset_probability(c, self.probabilities) for c in self.cutsets),
+            )
+        assert self._weights is not None
+        return self._weights
 
     def __len__(self) -> int:
         return len(self.cutsets)
@@ -157,7 +193,7 @@ class CutSetList:
 
     def probability_of(self, index: int) -> float:
         """Probability of the ``index``-th cutset."""
-        return cutset_probability(self.cutsets[index], self.probabilities)
+        return self.weights()[index]
 
     def rare_event(self) -> float:
         """Rare-event approximation: the sum of cutset probabilities.
@@ -166,7 +202,7 @@ class CutSetList:
         scenarios represented by several MCSs are counted once per MCS
         (paper, Section IV-A property iii).
         """
-        return sum(cutset_probability(c, self.probabilities) for c in self.cutsets)
+        return sum(self.weights())
 
     def sound_estimate(self) -> tuple[float, str]:
         """A sound aggregation: ``(value, estimator)``.
@@ -191,11 +227,7 @@ class CutSetList:
         tree — the floor of the bracket
         ``largest <= exact <= rare-event sum`` the cross-checks assert.
         """
-        if not self.cutsets:
-            return 0.0
-        return max(
-            cutset_probability(c, self.probabilities) for c in self.cutsets
-        )
+        return max(self.weights(), default=0.0)
 
     def min_cut_upper_bound(self) -> float:
         """The MCUB aggregation ``1 - prod (1 - p(C))``.
@@ -204,8 +236,7 @@ class CutSetList:
         coherent trees; exact when cutsets are disjoint.
         """
         log_complement = 0.0
-        for cutset in self.cutsets:
-            p = cutset_probability(cutset, self.probabilities)
+        for p in self.weights():
             if p >= 1.0:
                 return 1.0
             log_complement += math.log1p(-p)
@@ -241,12 +272,12 @@ class CutSetList:
 
     def truncate(self, cutoff: float) -> "CutSetList":
         """Drop cutsets whose probability is at or below ``cutoff``."""
-        kept = tuple(
-            c
-            for c in self.cutsets
-            if cutset_probability(c, self.probabilities) > cutoff
+        kept = [
+            (c, p) for c, p in zip(self.cutsets, self.weights()) if p > cutoff
+        ]
+        return CutSetList._weighted(
+            tuple(c for c, _ in kept), self.probabilities, tuple(p for _, p in kept)
         )
-        return CutSetList(kept, self.probabilities)
 
     def filtered(
         self, predicate: Callable[[frozenset[str]], bool]

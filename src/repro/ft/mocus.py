@@ -114,6 +114,9 @@ class MocusStats:
     partials_subsumed: int = 0
     completed: int = 0
     minimal: int = 0
+    #: Nodes of the minimal-solutions BDD the cutsets were read from
+    #: (0 for a MOCUS search; see :func:`repro.bdd.ft_bdd.bdd_cutsets`).
+    bdd_nodes: int = 0
 
 
 @dataclass(frozen=True)
@@ -134,9 +137,12 @@ class MocusResult:
     truncated: bool = False
     remainder_bound: float = 0.0
     #: The complete minimal cutsets *before* cutoff truncation, as
-    #: sorted name tuples — what the persistent cache stores so a warm
-    #: run can re-truncate locally (empty for truncated searches).
+    #: sorted name tuples — what the analysis session keeps so a later
+    #: edit can re-truncate locally (empty for truncated searches).
     full_cutsets: tuple[tuple[str, ...], ...] = ()
+    #: Which generator produced the family: ``"mocus"``, ``"bdd"``, or
+    #: ``"checkpoint"`` for a list restored from a quantify-phase snapshot.
+    engine: str = "mocus"
 
 
 @dataclass(frozen=True)

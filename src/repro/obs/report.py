@@ -5,12 +5,12 @@ Two consumers:
 * the ``sdft trace FILE`` subcommand —
   :func:`render_trace_report` summarises a JSONL trace into a per-span
   cost table (count, total/mean/max wall, CPU, share of the root
-  span's wall time) followed by the recorded metrics;
+  span's wall time), the cutset-engine line, then the recorded metrics;
 * the run summary and health report —
   :func:`metric_highlights` picks the handful of metric lines worth
-  printing after every traced/metered run (MOCUS work, dedup ratio,
-  series terms, pool queue waits and recovery actions, verification
-  checks, ladder descents, budget charges).
+  printing after every traced/metered run (cutset engine, MOCUS work,
+  dedup ratio, series terms, pool queue waits and recovery actions,
+  verification checks, ladder descents, budget charges).
 """
 
 from __future__ import annotations
@@ -98,6 +98,9 @@ def render_trace_report(path: str) -> str:
             )
     else:
         lines.append("no spans recorded")
+    engine = _cutsets_line(counters, histograms)
+    if engine is not None:
+        lines.extend(("", engine))
     if counters or histograms:
         lines.append("")
         lines.append("metrics:")
@@ -134,6 +137,9 @@ def metric_highlights(snapshot: dict | None) -> list[str]:
             f"{counters.get('sem.verified_scopes', 0):g} scopes proved, "
             f"{counters.get('sem.budget_trips', 0):g} budget trips)"
         )
+    engine = _cutsets_line(counters, histograms)
+    if engine is not None:
+        lines.append(engine)
     expanded = counters.get("mocus.partials_expanded")
     if expanded is not None:
         lines.append(
@@ -223,7 +229,6 @@ def metric_highlights(snapshot: dict | None) -> list[str]:
         solve_misses = counters.get("cache.solve_misses", 0)
         line = (
             f"cache: {solve_hits:g} solve hits / {solve_misses:g} misses, "
-            f"{counters.get('cache.mocus_hits', 0):g} mocus hits, "
             f"{counters.get('cache.records_hits', 0):g} record hits"
         )
         errors = counters.get("cache.errors", 0)
@@ -237,3 +242,25 @@ def metric_highlights(snapshot: dict | None) -> list[str]:
             f"{counters.get('budget.cutsets_charged', 0):g} cutsets charged"
         )
     return lines
+
+
+def _cutsets_line(counters: dict, histograms: dict) -> str | None:
+    """Which engine generated the cutsets: ``bdd`` or the MOCUS fallback."""
+    engines = [
+        (key.removeprefix("cutsets.engine."), value)
+        for key, value in sorted(counters.items())
+        if key.startswith("cutsets.engine.")
+    ]
+    if not engines:
+        return None
+    described = ", ".join(
+        name if value == 1 else f"{name} x{value:g}" for name, value in engines
+    )
+    line = f"cutsets: engine {described}"
+    nodes = histograms.get("cutsets.bdd_nodes")
+    if nodes is not None and nodes["count"]:
+        line += f" ({nodes['max']:g} minsol BDD nodes)"
+    trips = counters.get("bdd.budget_trips")
+    if trips:
+        line += f", {trips:g} BDD budget trips"
+    return line

@@ -2,7 +2,7 @@
 
 Re-analysing an unchanged (or mostly-unchanged) model should be
 near-free: the expensive artefacts of an analysis — per-model chain
-solves, the MOCUS cutset list, and the full record set — are pure
+solves, exact static quantifications and the full record set — are pure
 functions of *content* (chain fingerprints, tree structure, solver
 options), so they can be reused across processes and across days.  This
 module provides the on-disk store behind ``--cache-dir``:
@@ -12,12 +12,9 @@ module provides the on-disk store behind ``--cache-dir``:
   transient solve (:mod:`repro.perf.fingerprint` keys, the same ones
   the in-memory :class:`~repro.core.quantify.QuantificationCache` and
   the dedup plan use);
-* **mocus layer** — ``(tree digest, cutoff, max_partials) ->`` the
-  *pre-truncation* minimal cutsets by name, re-truncated by the loading
-  process so boundary floats behave exactly as a fresh local run;
 * **records layer** — ``(model digest, value-affecting options) ->``
   the full record list of a clean run, the short-circuit that makes a
-  warm re-analysis skip translate/MOCUS/quantify entirely;
+  warm re-analysis skip translate/cutsets/quantify entirely;
 * **bdd layer** — ``(tree digest, node budget, ordering) ->`` the exact
   BDD quantification of a static tree (probability, node count,
   ordering used, module count), keyed alongside the solve-layer entries
@@ -96,8 +93,9 @@ def default_cache_dir() -> str:
 def tree_digest(tree: "FaultTree") -> str:
     """A stable content digest of a static fault tree.
 
-    Covers everything MOCUS output depends on: event probabilities,
-    gate structure (type, children order, ``k``) and the top gate.
+    Covers everything a static quantification depends on: event
+    probabilities, gate structure (type, children order, ``k``) and the
+    top gate.
     """
     payload = {
         "events": sorted(
@@ -140,8 +138,6 @@ class SolveCache:
         self.max_entries = max_entries
         self.solve_hits = 0
         self.solve_misses = 0
-        self.mocus_hits = 0
-        self.mocus_misses = 0
         self.records_hits = 0
         self.records_misses = 0
         self.bdd_hits = 0
@@ -344,48 +340,6 @@ class SolveCache:
         )
 
     # ------------------------------------------------------------------
-    # MOCUS layer
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _mocus_key(digest: str, cutoff: float, max_partials: int) -> str:
-        return _digest(("mocus", SCHEMA_VERSION, digest, cutoff, max_partials))
-
-    def get_mocus(
-        self, digest: str, cutoff: float, max_partials: int
-    ) -> list[list[str]] | None:
-        """The cached pre-truncation minimal cutsets (name lists)."""
-        payload = self._read(
-            "mocus", self._mocus_key(digest, cutoff, max_partials)
-        )
-        if payload is not None:
-            cutsets = payload.get("cutsets")
-            if isinstance(cutsets, list) and all(
-                isinstance(c, list) and all(isinstance(n, str) for n in c)
-                for c in cutsets
-            ):
-                self.mocus_hits += 1
-                faults.check("cache_read", layer="mocus")
-                return cutsets
-            self.errors += 1
-        self.mocus_misses += 1
-        return None
-
-    def put_mocus(
-        self,
-        digest: str,
-        cutoff: float,
-        max_partials: int,
-        cutsets: list[list[str]],
-    ) -> None:
-        """Persist one complete (non-truncated) MOCUS result."""
-        self._write(
-            "mocus",
-            self._mocus_key(digest, cutoff, max_partials),
-            {"cutsets": cutsets},
-        )
-
-    # ------------------------------------------------------------------
     # Records layer (full clean-run results)
     # ------------------------------------------------------------------
 
@@ -498,8 +452,6 @@ class SolveCache:
         return {
             "solve_hits": self.solve_hits,
             "solve_misses": self.solve_misses,
-            "mocus_hits": self.mocus_hits,
-            "mocus_misses": self.mocus_misses,
             "records_hits": self.records_hits,
             "records_misses": self.records_misses,
             "bdd_hits": self.bdd_hits,
@@ -513,7 +465,6 @@ class SolveCache:
         parts = [
             f"cache: {self.solve_hits} solve hits / "
             f"{self.solve_misses} misses",
-            f"mocus {self.mocus_hits}/{self.mocus_hits + self.mocus_misses}",
             f"records {self.records_hits}/"
             f"{self.records_hits + self.records_misses}",
         ]

@@ -14,7 +14,8 @@ Stages wired into the pipeline:
 * ``"lump"``           — before lumping a chain,
 * ``"monte_carlo"``    — before the Monte-Carlo fallback rung,
 * ``"bound"``          — before the interval-bound fallback rung,
-* ``"mocus"``          — inside the MOCUS expansion loop,
+* ``"mocus"``          — at every cutset generation: once per BDD walk,
+  and inside the MOCUS expansion loop on the MOCUS path,
 * ``"checkpoint"``     — before writing a checkpoint snapshot,
 * ``"worker_kill"``    — inside a pool worker, before it starts solving
   (process-level faults: a ``when`` predicate may ``os.kill`` the

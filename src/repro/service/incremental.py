@@ -1,13 +1,13 @@
 """Incremental minimal-cutset generation for the what-if engine.
 
-A cold MOCUS run with probabilistic cutoff ``c*`` produces exactly the
-minimal cutsets of the translated tree whose probability exceeds ``c*``
-(in-search pruning is conservative: a partial's probability product only
-shrinks as events are added, so every above-cutoff minimal cutset
-survives the search).  Anything that reproduces *that set* and then goes
-through the same ``CutSetList.from_cutsets(...)`` + ``truncate(cutoff)``
-construction the analyzer's warm-cache path uses is element-for-element
-what a cold search would have returned.
+A cold cutset generation with probabilistic cutoff ``c*`` (the BDD walk
+or MOCUS) produces exactly the minimal cutsets of the translated tree
+whose probability exceeds ``c*`` (in-search pruning is conservative: a
+partial's probability product only shrinks as events are added, so
+every above-cutoff minimal cutset survives the search).  Anything that
+reproduces *that set* and then goes through the same
+``CutSetList.from_cutsets(...)`` + ``truncate(cutoff)`` construction is
+element-for-element what a cold generation would have returned.
 
 Two incremental strategies exploit this, in order of preference:
 
@@ -172,22 +172,36 @@ def _non_increasing(new_tree: FaultTree, previous_tree: FaultTree) -> bool:
 
 
 def _result_from_family(
-    family: Iterable[Iterable[str]], tree: FaultTree, cutoff: float
+    family: Iterable[tuple[str, ...]], tree: FaultTree, cutoff: float
 ) -> MocusResult:
-    """Mirror the analyzer's warm-cache construction exactly.
+    """Mirror :meth:`CutSetList.from_cutsets` + ``truncate`` exactly.
 
-    ``family`` must be a *minimal* family; probabilities are taken from
-    ``tree`` and the final truncation applies the analyzer's rule
-    (``p > cutoff`` when the cutoff is positive).
+    ``family`` must be a *minimal* family of sorted name tuples (a
+    ``full_cutsets`` family).  Each probability is the product in the
+    tuple's (sorted) order — the :func:`cutset_probability` rounding —
+    and the sort key is the same ``(-p, names)``, so the list is
+    element for element the one the canonical construction builds,
+    without re-sorting every cutset's names.  The final truncation
+    applies the analyzer's rule (``p > cutoff`` when the cutoff is
+    positive).
     """
     probabilities = {
         name: event.probability for name, event in tree.events.items()
     }
-    pre = CutSetList.from_cutsets(
-        [frozenset(cutset) for cutset in family], probabilities, minimal=True
+    weighted = []
+    for names in family:
+        product = 1.0
+        for name in names:
+            product *= probabilities[name]
+        weighted.append((-product, names))
+    weighted.sort()
+    pre = CutSetList._weighted(
+        tuple(frozenset(names) for _, names in weighted),
+        probabilities,
+        tuple(-p for p, _ in weighted),
     )
     cutsets = pre.truncate(cutoff) if cutoff > 0.0 else pre
-    full = tuple(sorted(tuple(sorted(cutset)) for cutset in pre))
+    full = tuple(names for _, names in weighted)
     stats = MocusStats(completed=len(pre), minimal=len(pre))
     return MocusResult(cutsets, stats=stats, full_cutsets=full)
 

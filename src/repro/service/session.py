@@ -140,6 +140,10 @@ class _RunArtifacts:
     records: "dict[frozenset, McsQuantification]" = field(
         default_factory=dict
     )
+    #: Worst-case probabilities of the previous translation, by event.
+    worst_case: dict[str, float] = field(default_factory=dict)
+    #: ``FT_C`` signature of each record in ``records``, by cutset.
+    signatures: dict[frozenset, tuple] = field(default_factory=dict)
 
 
 def _skeleton(model: SdFaultTree) -> tuple:
@@ -269,7 +273,9 @@ class AnalysisSession:
         reuse = AnalysisReuse(solves=self._primed_solves())
         mode = "full"
         if self._incremental_applicable(opts):
-            translation = to_static(self.model, opts.horizon)
+            translation = to_static(
+                self.model, opts.horizon, known=self._known_worst_case()
+            )
             mocus_tree = translation.tree
             if opts.mocus_probability_overrides:
                 mocus_tree = mocus_tree.with_probabilities(
@@ -291,7 +297,7 @@ class AnalysisSession:
                 reuse.cutsets = mocus_result
                 reuse.note = stats.summary()
                 mode = stats.mode
-            reuse.records = self._reusable_records()
+            reuse.records, reuse.siblings = self._split_records()
         result = analyze(self.model, opts, reuse=reuse)
         self._remember(reuse, result, mode=mode)
         if mode != "full":
@@ -351,29 +357,57 @@ class AnalysisSession:
             return None
         return dict(self._previous.solves)
 
-    def _reusable_records(self) -> "dict[frozenset, McsQuantification] | None":
-        """Previous records provably untouched by the edits since then.
+    def _split_records(
+        self,
+    ) -> "tuple[dict[frozenset, McsQuantification] | None, dict | None]":
+        """Previous records provably untouched by the edits since then,
+        and sibling hints for the touched ones.
 
         Sound only when the gate/trigger skeleton is unchanged: a
         record's ``dependencies`` name every event whose content its
         value reads, so with the skeleton fixed and no dirty event among
         them, re-quantifying would rebuild the identical ``FT_C`` and
-        produce the identical value.  Any structural edit disables
-        record reuse wholesale (solve-store priming still applies — it
-        is content-addressed and cannot go stale).
+        produce the identical value.  A touched record is re-quantified,
+        but under the same skeleton its previous ``FT_C`` signature
+        still tells which touched cutsets share one model
+        (:attr:`~repro.core.analyzer.AnalysisReuse.siblings`).  Any
+        structural edit disables both wholesale (solve-store priming
+        still applies — it is content-addressed and cannot go stale).
         """
         previous = self._previous
         if previous is None or previous.sdft is None or not previous.records:
-            return None
+            return None, None
         if _skeleton(self.model) != _skeleton(previous.sdft):
-            return None
+            return None, None
         dirty = _dirty_events(self.model, previous.sdft)
-        reusable = {
-            cutset: record
-            for cutset, record in previous.records.items()
-            if not dirty.intersection(record.dependencies)
-        }
-        return reusable or None
+        reusable = {}
+        siblings = {}
+        for cutset, record in previous.records.items():
+            if not dirty.intersection(record.dependencies):
+                reusable[cutset] = record
+            elif cutset in previous.signatures:
+                siblings[cutset] = (previous.signatures[cutset], record)
+        return reusable or None, siblings or None
+
+    def _known_worst_case(self) -> dict[str, float] | None:
+        """Previous worst-case probabilities of events whose chain is
+        unchanged (same content fingerprint): re-solving them would give
+        the identical value."""
+        previous = self._previous
+        if previous is None or previous.sdft is None or not previous.worst_case:
+            return None
+        before = previous.sdft.dynamic_events
+        known = {}
+        for name, event in self.model.dynamic_events.items():
+            old = before.get(name)
+            if name not in previous.worst_case or old is None:
+                continue
+            if (
+                event.chain is old.chain
+                or event.chain.fingerprint() == old.chain.fingerprint()
+            ):
+                known[name] = previous.worst_case[name]
+        return known
 
     def _incremental_applicable(self, opts: AnalysisOptions) -> bool:
         # Simplification rewrites the model between the session's view
@@ -397,6 +431,7 @@ class AnalysisSession:
             solves.update(reuse.out_solves)
         tree = None
         family: tuple[tuple[str, ...], ...] = ()
+        translation = reuse.out_translation
         mocus_result: MocusResult | None = reuse.out_mocus
         if (
             mocus_result is not None
@@ -404,7 +439,6 @@ class AnalysisSession:
             and not result.mcs_truncated
         ):
             family = mocus_result.full_cutsets
-            translation = reuse.out_translation
             if translation is not None:
                 tree = translation.tree
                 if self.options.mocus_probability_overrides:
@@ -422,6 +456,16 @@ class AnalysisSession:
             for record in result.records
             if record.rung in ("exact", "lumped") and record.dependencies
         }
+        # Signatures follow the records: a record served from the
+        # previous run kept its model, so it keeps its signature too.
+        signatures: dict[frozenset, tuple] = {}
+        if reuse.records and self._previous is not None:
+            signatures.update(self._previous.signatures)
+        if reuse.out_signatures:
+            signatures.update(reuse.out_signatures)
+        signatures = {
+            cutset: key for cutset, key in signatures.items() if cutset in records
+        }
         if tree is not None or solves or records:
             self._previous = _RunArtifacts(
                 tree=tree,
@@ -429,6 +473,10 @@ class AnalysisSession:
                 solves=solves,
                 sdft=self.model,
                 records=records,
+                worst_case=(
+                    dict(translation.worst_case) if translation is not None else {}
+                ),
+                signatures=signatures,
             )
 
 

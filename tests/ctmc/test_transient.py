@@ -180,6 +180,56 @@ class TestEpsilon:
         with pytest.raises(NumericalError):
             transient_distribution(chain, 1e4)
 
+    def test_stiff_occupancy_guard(self):
+        from repro.ctmc.transient import occupancy_integrals
+
+        chain = Ctmc(
+            ["a", "b"],
+            {"a": 1.0},
+            {("a", "b"): 1e9, ("b", "a"): 1e9},
+            ["b"],
+        )
+        with pytest.raises(NumericalError):
+            occupancy_integrals(chain, 1e4)
+
+    def test_stiff_absorbing_chain_still_solves(self):
+        # The up-front guard must not pre-empt the absorbed-mass exit:
+        # the same q*t on an absorbing chain converges in a few terms.
+        chain = Ctmc(["a", "b"], {"a": 1.0}, {("a", "b"): 1e9}, ["b"])
+        distribution = transient_distribution(chain, 1e4)
+        assert distribution[chain.index["b"]] == pytest.approx(1.0)
+
+
+class TestDiagonalFix:
+    """``_strip_diagonal_deficit`` against the element-wise reference."""
+
+    @staticmethod
+    def _reference(dtmc):
+        dtmc = dtmc.tolil()
+        row_sums = np.asarray(dtmc.sum(axis=1)).ravel()
+        for i, total in enumerate(row_sums):
+            deficit = 1.0 - total
+            if deficit != 0.0:
+                dtmc[i, i] = dtmc[i, i] + deficit
+        return dtmc.tocsr()
+
+    @given(small_ctmcs())
+    def test_same_matrix_as_elementwise_edit(self, chain):
+        from scipy import sparse
+
+        from repro.ctmc.transient import _strip_diagonal_deficit
+
+        rates = chain.rate_matrix()
+        exit_rates = np.asarray(rates.sum(axis=1)).ravel()
+        q = float(exit_rates.max()) * 1.02 or 1.0
+        n = chain.n_states
+        dtmc = (rates / q + sparse.eye(n, format="csr")).tocsr()
+        fixed = _strip_diagonal_deficit(dtmc, exit_rates / q)
+        expected = self._reference(dtmc)
+        assert np.array_equal(fixed.indptr, expected.indptr)
+        assert np.array_equal(fixed.indices, expected.indices)
+        assert fixed.data.tobytes() == expected.data.tobytes()
+
 
 class TestEarlyExit:
     """The absorbed-mass early exit of the uniformization series.

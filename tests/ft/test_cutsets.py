@@ -120,6 +120,31 @@ class TestCutSetList:
         kept = cl.truncate(0.15)
         assert set(kept) == {frozenset({"e"})}  # 0.5 survives, 0.1 cut
 
+    @given(
+        st.lists(
+            st.frozensets(st.sampled_from(sorted(PROBS)), min_size=1),
+            max_size=12,
+        ),
+        st.sampled_from([0.0, 0.01, 0.05, 0.2]),
+    )
+    def test_cached_weights_match_cutset_probability(self, family, cutoff):
+        # from_cutsets computes each product once and truncate carries
+        # the survivors' products along; both must be exactly what
+        # cutset_probability gives, and the order must be the
+        # (-probability, sorted names) order.
+        cl = CutSetList.from_cutsets(family, PROBS, minimal=True)
+        assert list(cl) == sorted(
+            family, key=lambda c: (-cutset_probability(c, PROBS), sorted(c))
+        )
+        for listed in (cl, cl.truncate(cutoff)):
+            assert listed.weights() == tuple(
+                cutset_probability(c, PROBS) for c in listed
+            )
+            fresh = CutSetList(listed.cutsets, PROBS)
+            assert fresh.weights() == listed.weights()
+            assert fresh.rare_event() == listed.rare_event()
+        assert all(p > cutoff for p in cl.truncate(cutoff).weights())
+
     def test_filtered_and_events_involved(self):
         cl = CutSetList.from_cutsets(_family({"a"}, {"b", "c"}), PROBS)
         only_small = cl.filtered(lambda c: len(c) == 1)

@@ -21,7 +21,7 @@ from repro.robust.budget import Budget
 
 #: The metric families derived from the analysis itself, not from how it
 #: was executed; these must not depend on ``jobs``.
-DETERMINISTIC_PREFIXES = ("mocus.", "transient.", "quantify.", "ladder.")
+DETERMINISTIC_PREFIXES = ("cutsets.", "mocus.", "transient.", "quantify.", "ladder.")
 
 
 def masked_records(result):
@@ -183,12 +183,25 @@ class TestBudgetAndMocusMetrics:
         assert metrics.counter("budget.cutsets_charged") == budget.cutsets_charged
 
     def test_mocus_counters_present_and_consistent(self, cooling_sdft):
+        # A node budget too small for any BDD forces the MOCUS fallback.
         result = analyze(
-            cooling_sdft, AnalysisOptions(collect_metrics=True)
+            cooling_sdft, AnalysisOptions(collect_metrics=True, bdd_node_budget=2)
         )
         counters = result.metrics["counters"]
+        assert counters["cutsets.engine.mocus"] == 1
+        assert counters["bdd.budget_trips"] >= 1
         assert counters["mocus.partials_expanded"] > 0
         assert counters["mocus.cutsets_minimal"] == result.n_cutsets
+
+    def test_default_run_generates_cutsets_from_the_bdd(self, cooling_sdft):
+        result = analyze(cooling_sdft, AnalysisOptions(collect_metrics=True))
+        counters = result.metrics["counters"]
+        histograms = result.metrics["histograms"]
+        assert counters["cutsets.engine.bdd"] == 1
+        assert "cutsets.engine.mocus" not in counters
+        assert not any(name.startswith("mocus.") for name in counters)
+        assert histograms["cutsets.bdd_nodes"]["max"] > 0
+        assert result.health.is_clean
 
     def test_ladder_rung_counter_on_clean_isolated_run(self, cooling_sdft):
         result = analyze(

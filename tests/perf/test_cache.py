@@ -107,14 +107,6 @@ class TestSolveLayer:
 
 
 class TestMocusAndRecordsLayers:
-    def test_mocus_roundtrip(self, tmp_path):
-        cache = make_cache(tmp_path)
-        cutsets = [["a", "b"], ["c"]]
-        cache.put_mocus("digest", 1e-15, 10_000_000, cutsets)
-        assert cache.get_mocus("digest", 1e-15, 10_000_000) == cutsets
-        assert cache.get_mocus("digest", 1e-10, 10_000_000) is None
-        assert cache.get_mocus("other", 1e-15, 10_000_000) is None
-
     def test_records_roundtrip(self, tmp_path):
         cache = make_cache(tmp_path)
         payload = {"records": [{"cutset": ["a"]}], "static_bound": 0.1}

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import replace
 
 import pytest
@@ -66,7 +67,7 @@ def test_record_reuse_skips_clean_cutsets(cooling_sdft, options):
     session = AnalysisSession(cooling_sdft, options)
     session.analyze()
     session.edit(SetProbability("e", 5e-6))
-    reusable = session._reusable_records()
+    reusable, _ = session._split_records()
     # {e} is dirty; every other cooling cutset is provably untouched.
     assert reusable is not None
     assert frozenset({"e"}) not in reusable
@@ -78,7 +79,7 @@ def test_structural_edit_disables_record_reuse(cooling_sdft, options):
     session = AnalysisSession(cooling_sdft, options)
     session.analyze()
     session.edit(SetGate("pumps", "or", ("pump1", "pump2")))
-    assert session._reusable_records() is None
+    assert session._split_records() == (None, None)
     # ... but the run itself still agrees with cold analysis.
     session.reanalyze(crosscheck=True)
 
@@ -140,3 +141,83 @@ def test_stats_shape(cooling_sdft, options):
     assert stats["fingerprint"] == session.fingerprint
     session.close()
     assert session._previous is None
+
+
+def _count_calls(monkeypatch, target):
+    """Patch ``module.name`` with a wrapper that logs each call's args."""
+    module_name, name = target.rsplit(".", 1)
+    module = importlib.import_module(module_name)
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("fault_isolation", [False, True])
+def test_edited_cutsets_rebuild_one_model_per_group(
+    monkeypatch, options, fault_isolation
+):
+    # A rate edit on one BWR pump touches hundreds of records, but they
+    # fall into a handful of distinct FT_C models: only the first cutset
+    # of each group is rebuilt, the rest share its solve.  Under the
+    # degradation ladder every touched cutset keeps the full path.
+    from repro.models.bwr import build_bwr
+
+    options = replace(options, fault_isolation=fault_isolation)
+    edit = ScaleRates("ECC-A-PUMP-FTR", 0.5)
+    session = AnalysisSession(build_bwr(), options)
+    session.analyze()
+    session.edit(edit)
+    reusable, siblings = session._split_records()
+    dirty = set(session._previous.records) - set(reusable)
+    groups = {signature for signature, _ in siblings.values()}
+    assert len(groups) < len(siblings)
+
+    target = (
+        "repro.robust.ladder.build_cutset_model"
+        if fault_isolation
+        else "repro.core.quantify.build_cutset_model"
+    )
+    builds = _count_calls(monkeypatch, target)
+    warm = session.reanalyze()
+    monkeypatch.undo()
+    assert session.last_mode == "retruncate"
+    # Retruncation may drop a touched cutset; count the quantified ones.
+    quantified = {record.cutset for record in warm.records}
+    dirty &= quantified
+    signed = {c: sig for c, (sig, _) in siblings.items() if c in quantified}
+    unsigned = len(dirty) - len(signed)
+    expected = (
+        len(dirty) if fault_isolation else len(set(signed.values())) + unsigned
+    )
+    assert len(builds) == expected
+    assert_bit_identical(warm, analyze(apply_edits(build_bwr(), [edit]), options))
+    # The next edit still finds every record's signature.
+    solved = {
+        cutset
+        for cutset, record in session._previous.records.items()
+        if record.is_dynamic and not record.trivially_zero
+    }
+    assert set(session._previous.signatures) == solved
+
+
+def test_unchanged_chains_keep_their_worst_case(monkeypatch, options):
+    from repro.models.bwr import build_bwr
+
+    session = AnalysisSession(build_bwr(), options)
+    session.analyze()
+    session.edit(ScaleRates("ECC-A-PUMP-FTR", 0.5))
+    solves = _count_calls(
+        monkeypatch, "repro.core.worst_case.worst_case_probability"
+    )
+    session.reanalyze(crosscheck=False)
+    # Only the edited event's chain is solved again.
+    assert len(solves) == 1
+    monkeypatch.undo()
+    session.edit(SetProbability("ECC-A-BREAKER", 1e-4))
+    session.reanalyze(crosscheck=True)

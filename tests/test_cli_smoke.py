@@ -30,6 +30,17 @@ class TestAnalyzeSmoke:
         assert main(["analyze", sd_model_file, "--metrics"]) == 0
         out = capsys.readouterr().out
         assert "metrics:" in out
+        assert "cutsets: engine bdd" in out
+        assert "mocus:" not in out  # the BDD generator ran, not MOCUS
+        assert "dedup:" in out
+
+    def test_analyze_with_metrics_mocus_fallback(self, sd_model_file, capsys):
+        # A node budget too small for any BDD forces the MOCUS fallback.
+        argv = ["analyze", sd_model_file, "--metrics", "--bdd-node-budget", "2"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "metrics:" in out
+        assert "cutsets: engine mocus" in out and "BDD budget trips" in out
         assert "mocus:" in out
         assert "dedup:" in out
 
@@ -288,6 +299,17 @@ class TestTraceSubcommand:
         assert "span" in report and "share" in report
         for phase in ("analyze", "translate", "mocus", "quantify"):
             assert phase in report
+        assert "cutsets: engine bdd" in report
+        assert "cutsets.engine.bdd" in report
+
+    def test_renders_mocus_fallback_metrics(self, sd_model_file, tmp_path, capsys):
+        trace = tmp_path / "t.jsonl"
+        argv = ["analyze", sd_model_file, "--trace", str(trace)]
+        assert main(argv + ["--bdd-node-budget", "2"]) == 0
+        capsys.readouterr()
+        assert main(["trace", str(trace)]) == 0
+        report = capsys.readouterr().out
+        assert "cutsets: engine mocus" in report
         assert "mocus.partials_expanded" in report
 
     def test_missing_file_is_an_error(self, tmp_path, capsys):

@@ -92,18 +92,24 @@ def restrict(
     one-input gates so node names remain stable for callers that refer to
     them.
 
-    The residual tree contains only nodes reachable from ``root``.
+    The residual tree contains only nodes reachable from ``root``, so
+    only the gates under ``root`` are evaluated.
     """
     for name in assignment:
         if not tree.is_event(name):
             raise UnknownNodeError(f"assignment contains non-event {name!r}")
+    if root not in tree.gates and root not in tree.events:
+        raise UnknownNodeError(f"unknown node {root!r}")
 
     # value[name] is True/False when forced, None when still symbolic.
     value: dict[str, bool | None] = {}
-    for name in tree.events:
+    for name in tree.events_under(root):
         value[name] = assignment.get(name)
     residual_children: dict[str, tuple[str, ...]] = {}
+    under = tree.gates_under(root)
     for gate in tree.gates_bottom_up():
+        if gate.name not in under:
+            continue
         free = [c for c in gate.children if value[c] is None]
         n_true = sum(1 for c in gate.children if value[c] is True)
         if gate.gate_type is GateType.AND:
@@ -134,8 +140,6 @@ def restrict(
                 residual_children[gate.name] = tuple(free)
 
     root_value = value.get(root)
-    if root not in tree.gates and root not in tree.events:
-        raise UnknownNodeError(f"unknown node {root!r}")
     if root_value is not None:
         return Restriction(None, root_value)
     if tree.is_event(root):

@@ -109,7 +109,10 @@ def quantify_with_ladder(
     counters (descents, failed rungs, final rung) and is threaded into
     the exact solves for their spans.
     """
-    model = build_cutset_model(sdft, cutset, classes)
+    if cache is not None:
+        model = cache.model(sdft, cutset, classes)
+    else:
+        model = build_cutset_model(sdft, cutset, classes)
 
     attempts: list[LadderAttempt] = []
 

@@ -7,7 +7,8 @@ Three guarantees:
 * the written trace is schema-valid and covers every pipeline phase
   (including pool-task spans shipped back from worker processes);
 * the analysis-derived metrics (``mocus.*``, ``transient.*``,
-  ``quantify.dedup_*``) are identical across ``jobs`` settings — only
+  ``quantify.dedup_*``, ``quantify.model_*``) are identical across
+  ``jobs`` settings — only
   the execution metrics (``pool.*``) depend on how the run executed.
 """
 
@@ -144,6 +145,32 @@ class TestCrossJobsDeterminism:
         # The execution metrics differ by construction.
         assert "pool.tasks" in parallel.metrics["counters"]
         assert "pool.tasks" not in serial.metrics["counters"]
+
+    def test_model_memo_counters_identical_across_jobs_and_tracing(
+        self, tmp_path
+    ):
+        from repro.models.bwr import TRIGGER_STAGES, BwrConfig, build_bwr
+
+        sdft = build_bwr(BwrConfig(repair_rate=0.05, triggers=TRIGGER_STAGES))
+        seen = set()
+        for jobs in (1, 2):
+            for traced in (False, True):
+                trace = str(tmp_path / f"t{jobs}.jsonl") if traced else None
+                result = analyze(
+                    sdft,
+                    AnalysisOptions(
+                        jobs=jobs, collect_metrics=True, trace_path=trace
+                    ),
+                )
+                counters = result.metrics["counters"]
+                seen.add(
+                    (
+                        counters["quantify.model_builds"],
+                        counters["quantify.model_reuses"],
+                        counters["quantify.dedup_misses"],
+                    )
+                )
+        assert seen == {(295, 1778 - 295, 35)}
 
     def test_dedup_counters_match_cache_totals(self, cooling_sdft):
         result = analyze(

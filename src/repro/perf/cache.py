@@ -68,7 +68,10 @@ __all__ = ["SolveCache", "default_cache_dir", "tree_digest"]
 #: boundary cutsets the old search pruned), and records carry their
 #: dependency sets for incremental reuse — pre-v3 mocus/records
 #: entries would re-serve the old membership, so they must miss.
-SCHEMA_VERSION = 3
+#: v4: reachability sums the target mass in state-index order, so a
+#: solve no longer depends on the string-hash seed — v3 solves carry
+#: either rounding and must miss.
+SCHEMA_VERSION = 4
 
 #: Database file name inside the cache directory.
 _DB_NAME = "solve-cache.sqlite"

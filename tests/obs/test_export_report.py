@@ -134,6 +134,19 @@ class TestReport:
         assert TRACE_SCHEMA in report
         assert "jobs=1" in report
 
+    def test_dedup_line_names_model_builds(self, tmp_path):
+        from repro.core.analyzer import AnalysisOptions, analyze
+        from repro.models.bwr import TRIGGER_STAGES, BwrConfig, build_bwr
+
+        path = tmp_path / "bwr.jsonl"
+        sdft = build_bwr(BwrConfig(repair_rate=0.05, triggers=TRIGGER_STAGES))
+        analyze(sdft, AnalysisOptions(trace_path=str(path)))
+        report = render_trace_report(path)
+        assert (
+            "dedup: 1743 hits / 35 misses (98% shared); FT_C builds 295 for "
+            "1778 dynamic cutsets, 35 solves"
+        ) in report.splitlines()
+
     def test_share_is_relative_to_root_span(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         _write_sample(path)

@@ -9,13 +9,14 @@ against, and run-to-run noise on small models dwarfs sub-percent
 effects):
 
 1. measure the per-call cost of every disabled primitive the hot paths
-   invoke — entering/exiting the shared null span, ``NULL_METRICS``
-   counter/observe calls, the ``obs or NULL_OBS`` resolution;
-2. count how often an analysis actually invokes each primitive, taken
-   from a *metered* run of the same analysis (spans recorded, metric
-   call sites enumerated — the collection design emits once per solve
-   or per run, never inside inner loops);
-3. assert ``sum(cost x calls) <= 2%`` of the measured quantification
+   invoke — entering/exiting the shared null span, setting attributes
+   on it, ``NULL_METRICS`` counter/observe calls, the ``obs or
+   NULL_OBS`` resolution;
+2. count how often an untraced analysis actually invokes each
+   primitive: the null tracer, the null span and the null registry
+   tally their own calls during the run (the collection design emits
+   once per solve or per run, never inside inner loops);
+3. assert ``sum(cost x calls) <= 2%`` of that run's quantification
    wall time.
 
 Run as a script::
@@ -31,6 +32,7 @@ import argparse
 import json
 import sys
 import time
+from collections import Counter
 
 #: The promised ceiling on disabled-path overhead.
 OVERHEAD_BUDGET = 0.02
@@ -57,6 +59,11 @@ def measure_null_primitives() -> dict:
         with NULL_TRACER.span("x", attr=1):
             pass
 
+    null = NULL_TRACER.span("x")
+
+    def null_set():
+        null.set(chain_states=3, probability=0.5)
+
     def null_count():
         NULL_METRICS.count("x", 3)
 
@@ -70,6 +77,7 @@ def measure_null_primitives() -> dict:
 
     return {
         "span": _time_per_call(null_span),
+        "set": _time_per_call(null_set),
         "count": _time_per_call(null_count),
         "observe": _time_per_call(null_observe),
         "resolve": _time_per_call(resolve),
@@ -84,48 +92,56 @@ def build_model():
 
 
 def instrumentation_call_counts(sdft, options_kwargs) -> dict:
-    """How often one analysis touches each disabled primitive.
+    """How often one untraced analysis touches each disabled primitive.
 
-    Derived from a metered run of the same analysis: every recorded
-    span is one null-span enter/exit in the disabled run; every metric
-    registry call site fires a bounded number of times (once per run,
-    per solve or per cutset — by design never inside an inner loop).
+    Counted, not estimated: the analysis runs with observability off
+    while the null tracer's ``span``, the null span's ``set`` and the
+    null registry's ``count``/``observe`` tally their calls.  The
+    methods are patched on the classes, so call sites that hold
+    ``NULL_TRACER`` or ``NULL_METRICS`` directly are counted too.  The
+    inline ``obs or NULL_OBS`` resolutions cannot count themselves;
+    they are budgeted at a handful per record.
     """
+    from unittest import mock
+
     from repro.core.analyzer import AnalysisOptions, analyze
+    from repro.obs.metrics import NullMetrics
+    from repro.obs.trace import NullTracer, _NullSpan
 
-    result = analyze(
-        sdft, AnalysisOptions(collect_metrics=True, **options_kwargs)
-    )
-    counters = result.metrics["counters"]
-    histograms = result.metrics["histograms"]
-    solves = result.cache_misses
+    tally: Counter = Counter()
+
+    def counted(kind, method):
+        def call(self, *args, **kwargs):
+            tally[kind] += 1
+            return method(self, *args, **kwargs)
+
+        return call
+
+    with mock.patch.object(
+        NullTracer, "span", counted("spans", NullTracer.span)
+    ), mock.patch.object(
+        _NullSpan, "set", counted("sets", _NullSpan.set)
+    ), mock.patch.object(
+        NullMetrics, "count", counted("counts", NullMetrics.count)
+    ), mock.patch.object(
+        NullMetrics, "observe", counted("observes", NullMetrics.observe)
+    ):
+        result = analyze(sdft, AnalysisOptions(**options_kwargs))
     n_records = len(result.records)
-
-    # Spans: the phase spans (analyze/translate/mocus/quantify) plus one
-    # quantify.solve per actual chain solve.  Cache hits and static
-    # cutsets return before the span in quantify_model — but budget the
-    # worst case anyway: one span attempt per record.
-    spans = 4 + solves + n_records
-    # Counters: mocus emits its six totals once per run; the dedup pair
-    # once per run; budget charges once per solve and per cutset (upper
-    # bound: every counter key that exists fired once per record).
-    counts = len(counters) + 2 * n_records
-    # Observations: series-terms once per solve, early-exit at most once
-    # per solve; pool metrics are absent in the serial path.
-    observes = len(histograms) + 2 * solves
     # ``obs or NULL_OBS``-style resolutions: a handful per quantified
     # cutset across quantify_cutset/quantify_model/_uniformization.
     resolves = 4 * n_records
 
     return {
-        "spans": spans,
-        "counts": counts,
-        "observes": observes,
+        "spans": tally["spans"],
+        "sets": tally["sets"],
+        "counts": tally["counts"],
+        "observes": tally["observes"],
         "resolves": resolves,
         "quantify_seconds": result.timings.quantification_seconds,
         "total_seconds": result.timings.total_seconds,
         "n_records": n_records,
-        "n_solves": solves,
+        "n_solves": result.cache_misses,
     }
 
 
@@ -133,6 +149,7 @@ def overhead_report(primitives: dict, calls: dict) -> dict:
     """The projected disabled-path overhead against the 2% budget."""
     projected = (
         calls["spans"] * primitives["span"]
+        + calls["sets"] * primitives["set"]
         + calls["counts"] * primitives["count"]
         + calls["observes"] * primitives["observe"]
         + calls["resolves"] * primitives["resolve"]
@@ -187,7 +204,8 @@ def main(argv=None) -> int:
         calls = payload["calls"]
         print(
             f"instrumentation touches per analysis: "
-            f"{calls['spans']} spans, {calls['counts']} counts, "
+            f"{calls['spans']} spans, {calls['sets']} span sets, "
+            f"{calls['counts']} counts, "
             f"{calls['observes']} observations, {calls['resolves']} resolutions"
         )
         print(

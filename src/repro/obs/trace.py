@@ -94,7 +94,8 @@ class _NullSpan:
     def __enter__(self) -> "_NullSpan":
         return self
 
-    def __exit__(self, *exc: object) -> bool:
+    def __exit__(self, exc_type: object, exc: object, tb: object) -> bool:
+        # Named parameters, not ``*exc``: the call skips packing a tuple.
         return False
 
 
